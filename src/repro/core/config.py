@@ -28,7 +28,10 @@ class L4SpanConfig:
         drop_non_ecn: emulate dropping for Not-ECT flows instead of marking
             (disabled by default; the evaluation uses ECN-capable senders).
         measure_processing: record wall-clock processing time of each handler
-            invocation (used by the Fig. 21 / Table 1 harnesses).
+            invocation (used by the Fig. 21 / Table 1 harnesses).  It also
+            turns on IP/TCP checksum upkeep after every CE mark and ACK
+            rewrite, the prototype's per-packet cost (§5); without it the
+            rewrites leave no stored checksum, since nothing else reads one.
         profile_horizon: seconds of completed profile-table entries retained
             before purging, bounding memory use.
     """

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.core.profile_table import ProfileEntry
 
@@ -70,9 +69,8 @@ class WindowedMeanVariance:
         return math.sqrt(self.variance())
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """The output of one estimator update."""
+class RateEstimate(NamedTuple):
+    """The output of one estimator update (an immutable named tuple)."""
 
     timestamp: float
     smoothed_rate: float       # r_hat_e, bytes per second

@@ -39,6 +39,9 @@ class FlowRecord:
     marked_packets: int = 0
     marked_bytes: int = 0
     shortcircuited_acks: int = 0
+    #: The layer's per-bearer state this flow's last packet mapped to; lets
+    #: the layer note the flow's class on a bearer once, not per packet.
+    drb_state: object = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def record_downlink(self, size: int, now: float) -> None:

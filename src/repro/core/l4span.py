@@ -49,9 +49,11 @@ class DrbState:
     key: DrbKey
     profile: DrbProfile
     estimator: EgressRateEstimator
-    prediction: SojournPrediction = field(
-        default_factory=lambda: SojournPrediction(0.0, 0, 0.0, 0.0))
+    prediction: SojournPrediction = SojournPrediction(0.0, 0, 0.0, 0.0)
     classes_seen: set = field(default_factory=set)
+    #: True when both L4S and classic flows map onto this bearer; updated
+    #: when a flow first shows up here, not per packet.
+    is_shared: bool = False
     feedback_count: int = 0
     marks_l4s: int = 0
     marks_classic: int = 0
@@ -59,11 +61,11 @@ class DrbState:
     #: marking decision must not rebuild/hash the stream name every time.
     mark_rng: object = None
 
-    @property
-    def is_shared(self) -> bool:
-        """True when both L4S and classic flows map onto this bearer."""
-        return (FlowClass.L4S in self.classes_seen
-                and FlowClass.CLASSIC in self.classes_seen)
+    def add_flow_class(self, flow_class: FlowClass) -> None:
+        """Note that a flow of ``flow_class`` maps onto this bearer."""
+        self.classes_seen.add(flow_class)
+        self.is_shared = (FlowClass.L4S in self.classes_seen
+                          and FlowClass.CLASSIC in self.classes_seen)
 
 
 class L4SpanLayer:
@@ -107,9 +109,11 @@ class L4SpanLayer:
 
     def drb_state(self, ue_id: UeId, drb_id: DrbId) -> DrbState:
         """Get or create the per-bearer state."""
-        key = DrbKey(ue_id, drb_id)
-        state = self._drbs.get(key)
+        # Looked up by the plain pair (equal to its DrbKey): no key object
+        # is built per packet.
+        state = self._drbs.get((ue_id, drb_id))
         if state is None:
+            key = DrbKey(ue_id, drb_id)
             tag = self._ue_stream_tags.get(ue_id, "")
             state = DrbState(key=key,
                              profile=DrbProfile(self.config.profile_horizon),
@@ -143,7 +147,10 @@ class L4SpanLayer:
         self.downlink_packets += 1
         state = self.drb_state(ue_id, drb_id)
         flow = self._get_or_create_flow(packet, ue_id, drb_id, now)
-        state.classes_seen.add(flow.flow_class)
+        if flow.drb_state is not state:
+            # First packet of this flow on this bearer.
+            flow.drb_state = state
+            state.add_flow_class(flow.flow_class)
         if packet.cwr and not flow.uses_accecn:
             flow.ece_latched = False
         state.profile.add_packet(packet.size, now)
@@ -240,8 +247,12 @@ class L4SpanLayer:
         if apply_to_downlink:
             if packet.ecn == ECN.NOT_ECT and self.config.drop_non_ecn:
                 packet.payload_info["l4span_drop"] = True
-            else:
+            elif self.config.measure_processing:
+                # Checksum upkeep is part of the measured processing cost;
+                # nothing in a scenario run reads simulated checksums.
                 mark_ce_with_checksum(packet, by=self.name)
+            else:
+                packet.mark_ce(self.name)
 
     # ------------------------------------------------------------------ #
     # Event 2: F1-U delivery-status feedback
@@ -280,24 +291,31 @@ class L4SpanLayer:
 
     def _shortcircuit_ack(self, packet: Packet, flow: FlowRecord) -> None:
         # The pre-rewrite words are captured only on the branches that are
-        # about to mutate, so ACKs that need no rewrite pay nothing here.
+        # about to mutate, and only when checksum upkeep is measured (see
+        # L4SpanConfig.measure_processing), so ACKs pay nothing otherwise.
+        checksums = self.config.measure_processing
         old_words = None
-        if flow.uses_accecn and packet.accecn is not None:
-            old_words = tcp_rewrite_words(packet)
+        if flow.uses_accecn:
+            if packet.accecn is None:
+                return
+            if checksums:
+                old_words = tcp_rewrite_words(packet)
             packet.accecn.ce_packets = flow.tentative.ce_packets
             packet.accecn.ce_bytes = flow.tentative.ce_bytes
             packet.accecn.ect1_bytes = flow.tentative.ect1_bytes
             packet.accecn.ect0_bytes = flow.tentative.ect0_bytes
-        elif not flow.uses_accecn:
-            if flow.ece_latched and not packet.ece:
+        elif flow.ece_latched and not packet.ece:
+            if checksums:
                 old_words = tcp_rewrite_words(packet)
-                packet.ece = True
+            packet.ece = True
+        else:
+            return
         if old_words is not None:
             # RFC 1624 incremental update from the words just rewritten; the
             # IP header is untouched so its checksum is never recomputed.
             update_checksums_after_ack_rewrite(packet, old_words)
-            flow.shortcircuited_acks += 1
-            self.shortcircuited_acks += 1
+        flow.shortcircuited_acks += 1
+        self.shortcircuited_acks += 1
 
     # ------------------------------------------------------------------ #
     # Aggregate background load (dense-cell population kernel)

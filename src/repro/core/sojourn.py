@@ -10,15 +10,14 @@ error-aware marking rule is designed to balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.egress import RateEstimate
 
 
-@dataclass(frozen=True)
-class SojournPrediction:
-    """A sojourn-time prediction together with the inputs that produced it."""
+class SojournPrediction(NamedTuple):
+    """A sojourn-time prediction together with the inputs that produced it
+    (an immutable named tuple)."""
 
     sojourn: float
     queued_bytes: int

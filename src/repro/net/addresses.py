@@ -24,10 +24,21 @@ class FiveTuple:
     protocol: str = "tcp"
 
     def reversed(self) -> "FiveTuple":
-        """The five-tuple of traffic flowing in the opposite direction."""
-        return FiveTuple(src_ip=self.dst_ip, src_port=self.dst_port,
-                         dst_ip=self.src_ip, dst_port=self.src_port,
-                         protocol=self.protocol)
+        """The five-tuple of traffic flowing in the opposite direction.
+
+        Cached per instance, outside the dataclass fields (so equality and
+        hashing ignore it), and linked both ways: every ACK asks for it
+        twice, and ``t.reversed().reversed() is t``.
+        """
+        cached = self.__dict__.get("_reversed")
+        if cached is None:
+            cached = FiveTuple(src_ip=self.dst_ip, src_port=self.dst_port,
+                               dst_ip=self.src_ip, dst_port=self.src_port,
+                               protocol=self.protocol)
+            # Frozen: bypass the generated __setattr__.
+            object.__setattr__(cached, "_reversed", self)
+            object.__setattr__(self, "_reversed", cached)
+        return cached
 
     def __str__(self) -> str:
         return (f"{self.protocol}:{self.src_ip}:{self.src_port}->"

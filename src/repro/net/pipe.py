@@ -18,6 +18,18 @@ class DelayPipe:
     """Deliver each packet to ``sink`` after a constant delay.
 
     The pipe has infinite capacity: it models propagation, not queueing.
+
+    Two fixed-delay hops in a row cost one scheduled event, not two, where
+    that is exact:
+
+    * an upstream hop whose own delay ends at this pipe hands the packet
+      over early with the remaining ``lead`` (``receive(packet, lead)``);
+      delivery is then at ``(now + lead) + delay``, the same float the two
+      hops would have produced;
+    * a sink that offers ``accept_ahead(packet, arrival)`` (the 5G core)
+      may take the packet at pipe entry and schedule its own processing
+      from the known ``arrival`` time; when it declines, the packet is
+      delivered hop by hop.
     """
 
     def __init__(self, sim: Simulator, delay: float,
@@ -32,17 +44,30 @@ class DelayPipe:
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
 
-    def receive(self, packet: Packet) -> None:
+    @property
+    def sink(self) -> Optional[PacketSink]:
+        return self._sink
+
+    @sink.setter
+    def sink(self, sink: Optional[PacketSink]) -> None:
+        self._sink = sink
+        self._accept_ahead = getattr(sink, "accept_ahead", None)
+
+    def receive(self, packet: Packet, lead: float = 0.0) -> None:
+        """Accept ``packet``; it entered the pipe ``lead`` seconds from now."""
         self.forwarded_packets += 1
         self.forwarded_bytes += packet.size
-        if self.delay == 0:
+        if lead == 0 and self.delay == 0:
             self._deliver(packet)
-        else:
-            self._sim.schedule(self.delay, self._deliver, packet)
+            return
+        arrival = (self._sim.now + lead) + self.delay
+        accept_ahead = self._accept_ahead
+        if accept_ahead is None or not accept_ahead(packet, arrival):
+            self._sim.schedule_at(arrival, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
-        if self.sink is not None:
-            self.sink.receive(packet)
+        if self._sink is not None:
+            self._sink.receive(packet)
 
 
 class VariableDelayPipe(DelayPipe):

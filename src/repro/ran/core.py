@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.net.base import PacketSink
 from repro.net.packet import Packet
+from repro.net.pipe import DelayPipe
 from repro.ran.identifiers import UeId
 from repro.sim.engine import Simulator
 from repro.units import us
@@ -46,6 +47,10 @@ class FiveGCore:
         #: unroutable uplink is dropped.  The sharded runtime installs its
         #: boundary buffer here so cross-shard traffic is batched instead.
         self.remote_sink: Optional[PacketSink] = None
+        #: True while no downlink route can be re-pointed mid-run; mobility
+        #: clears it (handover re-registers routes).  Only then may a WAN
+        #: pipe hand packets over at entry (see :meth:`accept_ahead`).
+        self.static_routes = True
         self.downlink_packets = 0
         self.uplink_packets = 0
         self.remote_packets = 0
@@ -82,8 +87,32 @@ class FiveGCore:
     # ------------------------------------------------------------------ #
     # Data plane
     # ------------------------------------------------------------------ #
-    def receive(self, packet: Packet) -> None:
-        """Downlink entry point (the WAN path's sink)."""
+    def accept_ahead(self, packet: Packet, arrival: float) -> bool:
+        """Take a downlink packet at WAN-pipe entry, due here at ``arrival``.
+
+        Schedules the packet's one core event at ``arrival +
+        processing_delay`` -- the time the pipe-then-core hop pair would
+        reach -- and returns True.  That is exact only when the route the
+        packet finds at ``arrival`` is known now: the destination must be
+        routed locally and the route table static (no mobility, no shard
+        boundary).  Otherwise returns False and the pipe delivers the
+        packet hop by hop.
+        """
+        if (not self.static_routes or self.remote_sink is not None
+                or packet.five_tuple.dst_ip not in self._downlink_routes):
+            return False
+        self._sim.schedule_at(arrival + self.processing_delay, self.receive,
+                              packet, arrival)
+        return True
+
+    def receive(self, packet: Packet,
+                ingress: Optional[float] = None) -> None:
+        """Downlink entry point (the WAN path's sink).
+
+        ``ingress`` is set when a WAN pipe handed the packet over early
+        (:meth:`accept_ahead`): it reached the core at ``ingress`` and its
+        processing delay has already elapsed.
+        """
         route = self._downlink_routes.get(packet.five_tuple.dst_ip)
         if route is None:
             if self.remote_sink is not None:
@@ -94,6 +123,10 @@ class FiveGCore:
                 f"no UE registered for {packet.five_tuple.dst_ip}")
         gnb, ue_id = route
         self.downlink_packets += 1
+        if ingress is not None:
+            packet.stamp("core_ingress", ingress)
+            gnb.receive_downlink(packet, ue_id)
+            return
         packet.stamp("core_ingress", self._sim.now)
         self._sim.schedule(self.processing_delay, gnb.receive_downlink,
                            packet, ue_id)
@@ -124,4 +157,8 @@ class FiveGCore:
                 self.remote_packets += 1
                 self.remote_sink.receive(packet)
             return
-        self._sim.schedule(self.processing_delay, sink.receive, packet)
+        if type(sink) is DelayPipe:
+            # Core processing then the WAN leg, as one scheduled delivery.
+            sink.receive(packet, self.processing_delay)
+        else:
+            self._sim.schedule(self.processing_delay, sink.receive, packet)

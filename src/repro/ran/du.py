@@ -137,7 +137,7 @@ class DistributedUnit:
     def handle_downlink_sdu(self, ue_id: UeId, drb_id: DrbId, sn: int,
                             packet: Packet) -> None:
         """Enqueue a PDCP SDU into its bearer's RLC queue."""
-        entity = self._rlc.get(DrbKey(ue_id, drb_id))
+        entity = self._rlc.get((ue_id, drb_id))  # equal to its DrbKey
         if entity is None:
             if self.drop_orphan_sdus:
                 # The UE detached while this SDU was crossing F1-U.

@@ -9,17 +9,18 @@ timestamp at which the RLC generated the report (paper §4.3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.ran.identifiers import DrbId, UeId
 from repro.sim.engine import Simulator
 from repro.units import us
 
 
-@dataclass(frozen=True)
-class DeliveryStatus:
+class DeliveryStatus(NamedTuple):
     """One downlink-data-delivery-status message.
+
+    An immutable named tuple: one is built per RLC report, so it must cost
+    no more than a tuple.
 
     Attributes:
         ue_id / drb_id: the bearer the report describes.

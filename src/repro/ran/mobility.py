@@ -258,6 +258,9 @@ class MobilityManager:
 
     def _install(self) -> None:
         scenario = self._scenario
+        # Handovers re-point downlink routes: packets already on a WAN pipe
+        # must be routed when they reach the core, not at pipe entry.
+        scenario.core.static_routes = False
         for gnb in scenario.gnbs.values():
             # Packets racing a detach must drop like a real network, not
             # blow up the loop.

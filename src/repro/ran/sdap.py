@@ -25,11 +25,16 @@ class SdapEntity:
             raise ValueError("a UE needs at least one DRB")
         self.ue_id = ue_id
         self.drb_configs = {cfg.drb_id: cfg for cfg in drb_configs}
-        self._by_class: dict[DrbServiceClass, DrbId] = {}
-        for cfg in drb_configs:
-            self._by_class.setdefault(cfg.service_class, cfg.drb_id)
-        self._default_drb = drb_configs[0].drb_id
         self._qfi_map: dict[QosFlowId, DrbId] = {}
+        # The class -> bearer choice, resolved once: the per-packet path
+        # compares flow classes by identity instead of hashing enums.
+        by_class: dict[DrbServiceClass, DrbId] = {}
+        for cfg in drb_configs:
+            by_class.setdefault(cfg.service_class, cfg.drb_id)
+        fallback = by_class.get(DrbServiceClass.MIXED, drb_configs[0].drb_id)
+        self._fallback_drb = fallback
+        self._l4s_drb = by_class.get(DrbServiceClass.L4S, fallback)
+        self._classic_drb = by_class.get(DrbServiceClass.CLASSIC, fallback)
 
     # ------------------------------------------------------------------ #
     def map_qfi(self, qfi: QosFlowId, drb_id: DrbId) -> None:
@@ -48,14 +53,11 @@ class SdapEntity:
         if qfi is not None and qfi in self._qfi_map:
             return self._qfi_map[qfi]
         flow_class = packet.flow_class
-        if flow_class == FlowClass.L4S and DrbServiceClass.L4S in self._by_class:
-            return self._by_class[DrbServiceClass.L4S]
-        if (flow_class == FlowClass.CLASSIC
-                and DrbServiceClass.CLASSIC in self._by_class):
-            return self._by_class[DrbServiceClass.CLASSIC]
-        if DrbServiceClass.MIXED in self._by_class:
-            return self._by_class[DrbServiceClass.MIXED]
-        return self._default_drb
+        if flow_class is FlowClass.L4S:
+            return self._l4s_drb
+        if flow_class is FlowClass.CLASSIC:
+            return self._classic_drb
+        return self._fallback_drb
 
     @property
     def drb_ids(self) -> list[DrbId]:

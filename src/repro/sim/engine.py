@@ -8,6 +8,7 @@ lives in the network, RAN and congestion-control components.
 from __future__ import annotations
 
 from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 from typing import Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -96,18 +97,39 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self.events.push(self.now + delay, callback, args)
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
+
+        Pushes onto the queue's heap directly (the body of
+        :meth:`EventQueue.push`, inlined): every scheduled packet hop pays
+        this call.  ``not delay >= 0`` also rejects NaN, which would
+        otherwise compare false both ways and silently break heap order.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule {delay} s from now: "
+                                  f"delays must be non-negative numbers")
+        queue = self.events
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        time = self.now + delay
+        event = Event(time, seq, callback, args)
+        _heappush(queue.heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
+        """Schedule ``callback(*args)`` at an absolute simulation time.
+
+        Inlined like :meth:`schedule`; NaN is rejected the same way.
+        """
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f} s, current time is {self.now:.6f} s")
-        return self.events.push(time, callback, args)
+        queue = self.events
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        event = Event(time, seq, callback, args)
+        _heappush(queue.heap, (time, seq, event))
+        return event
 
     def call_soon(self, callback: Callable[..., None], *args) -> Event:
         """Schedule a callback for the current instant (after pending same-time events)."""

@@ -68,6 +68,38 @@ class TestDelayPipe:
         DelayPipe(sim, 0.0, sink=sink).receive(_packet(five_tuple))
         assert len(sink) == 1
 
+    def test_lead_composes_with_the_pipe_delay(self, sim, five_tuple):
+        # A packet handed over ``lead`` seconds early arrives when the two
+        # hops would have delivered it, in one event.
+        times = []
+        pipe = DelayPipe(sim, 0.25, sink=Tap(lambda p: times.append(sim.now)))
+        zero = DelayPipe(sim, 0.0, sink=Tap(lambda p: times.append(sim.now)))
+        sim.schedule_at(0.3, pipe.receive, _packet(five_tuple), 0.1)
+        sim.schedule_at(0.3, zero.receive, _packet(five_tuple), 0.1)
+        sim.run(until=0.3)
+        assert sim.pending_events == 2
+        sim.run()
+        assert times == [0.3 + 0.1, (0.3 + 0.1) + 0.25]
+
+    def test_sink_may_accept_packets_at_entry(self, sim, five_tuple):
+        class Ahead(CollectorSink):
+            def __init__(self, accept):
+                super().__init__()
+                self.accept, self.arrivals = accept, []
+
+            def accept_ahead(self, packet, arrival):
+                self.arrivals.append(arrival)
+                return self.accept
+
+        taker, decliner = Ahead(True), Ahead(False)
+        DelayPipe(sim, 0.25, sink=taker).receive(_packet(five_tuple))
+        pipe = DelayPipe(sim, 0.25)
+        pipe.sink = decliner
+        pipe.receive(_packet(five_tuple))
+        assert taker.arrivals == decliner.arrivals == [0.25]
+        sim.run()
+        assert len(taker) == 0 and len(decliner) == 1
+
     def test_variable_pipe_avoids_reordering(self, sim, five_tuple):
         sink = CollectorSink()
         pipe = VariableDelayPipe(sim, 0.5, sink=sink)

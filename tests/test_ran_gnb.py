@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.channel.static import StaticChannel
-from repro.net.base import CollectorSink
+from repro.net.base import CollectorSink, Tap
 from repro.net.ecn import ECN
 from repro.net.packet import make_ack_packet, make_data_packet
+from repro.net.pipe import DelayPipe
 from repro.ran.core import FiveGCore
 from repro.ran.gnb import GNodeB
 from repro.ran.marker import NoopMarker
@@ -148,3 +149,51 @@ class TestFiveGCore:
         sim.run()
         assert len(flow_sink) == 1
         assert len(default_sink) == 1
+
+    def test_wan_pipe_and_core_share_one_event(self, sim, five_tuple):
+        gnb = GNodeB(sim)
+        ue = _attach_ue(sim, gnb)
+        sink = CollectorSink()
+        ue.register_receiver(0, sink)
+        core = FiveGCore(sim)
+        core.register_ue_address(five_tuple.dst_ip, gnb, 0)
+        pipe = DelayPipe(sim, 0.02, sink=core)
+        pending = sim.pending_events
+        packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
+        pipe.receive(packet)
+        assert sim.pending_events == pending + 1
+        sim.run(until=0.2)
+        gnb.stop()
+        assert sink.received == [packet]
+        assert packet.timestamps["core_ingress"] == 0.02
+
+    def test_downlink_composition_needs_static_local_routes(self, sim,
+                                                            five_tuple):
+        gnb = GNodeB(sim)
+        _attach_ue(sim, gnb)
+        core = FiveGCore(sim)
+        pending = sim.pending_events
+        packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
+        assert not core.accept_ahead(packet, 0.02)  # not routed here
+        core.register_ue_address(five_tuple.dst_ip, gnb, 0)
+        core.static_routes = False  # mobility may re-point the route
+        assert not core.accept_ahead(packet, 0.02)
+        core.static_routes = True
+        core.remote_sink = CollectorSink()  # a shard boundary
+        assert not core.accept_ahead(packet, 0.02)
+        assert sim.pending_events == pending
+        gnb.stop()
+
+    def test_uplink_core_and_wan_pipe_share_one_event(self, sim,
+                                                      five_tuple):
+        core = FiveGCore(sim)
+        times = []
+        core.register_uplink_route(
+            7, DelayPipe(sim, 0.02, sink=Tap(lambda p: times.append(sim.now))))
+        data = make_data_packet(7, five_tuple, 0, 100, ECN.ECT1, 0.0)
+        sim.schedule_at(0.1, core.receive_uplink,
+                        make_ack_packet(data, 100, 0.1))
+        sim.run(until=0.1)
+        assert sim.pending_events == 1
+        sim.run()
+        assert times == [(0.1 + core.processing_delay) + 0.02]

@@ -77,6 +77,16 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_are_rejected(self):
+        # NaN compares false against everything: accepted, it would sit in
+        # the heap and silently break its ordering.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
         fired = []
