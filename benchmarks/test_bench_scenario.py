@@ -23,6 +23,7 @@ import pytest
 from benchmarks.conftest import attach_rows, scaled_duration
 from repro._numpy import numpy_available
 from repro.api import ScenarioSpec, make_preset, run as run_scenario
+from repro.experiments.fuzz import run_per_tick
 from repro.experiments.sharded import run_scenario_sharded
 
 
@@ -274,45 +275,52 @@ def test_scenario_dense_cell_population(benchmark):
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_scenario_dense_cell_engine_backends(benchmark):
-    """The numpy engine backend vs the python reference, same scenario.
+    """The quiet-slot collapse on dense-cell, and the backends' identity.
 
     The scenario is the dense-cell preset with a coarser population kernel
     cadence (40 ms), which makes the run slot-bound: long runs of slots
-    grant no foreground PRBs and the numpy backend's timer-wheel batching
-    collapses them, while the python reference walks every tick through
-    the heap.  Both backends are timed best-of-N back-to-back in this
-    process and the static-channel results are asserted identical -- the
+    grant no foreground PRBs, and both slot clocks (the default heap clock
+    and the numpy backend's timer wheel) do such a run in one firing.  The
+    timed comparison is the default (python) backend's run against its
+    per-tick reference (``run_per_tick``: a ``max_events`` budget forbids
+    batching, so every slot is its own event), best-of-4 each, back to
+    back in this process; their results are asserted identical, so the
     speedup is a like-for-like measurement, not a model change.
 
-    The ``numpy_speedup >= 1.3`` floor is this PR's acceptance hard line
-    (measured ~1.5-1.6x on the dev container; the margin absorbs machine
-    noise).  The prague benchmark's recorded ``numpy_speedup`` stays near
-    1.0x by design: its cost is per-packet CC/L4Span python work that the
-    engine backend deliberately leaves untouched.
+    The ``collapse_speedup >= 1.3`` floor is the acceptance hard line
+    (measured 1.45-1.65x on a 2-core container; the margin absorbs
+    machine noise).  The numpy backend runs once for the cross-backend identity
+    asserts; its ``numpy_speedup`` is recorded, not gated: the collapse it
+    used to own alone now serves both backends.
     """
     dense = make_preset("dense-cell")
-    spec = dataclasses.replace(
+    spec = _with_engine(dataclasses.replace(
         dense, duration_s=scaled_duration(6.0),
         population=dataclasses.replace(dense.population,
-                                       update_interval_s=0.04))
-    python_elapsed, python_result = _best_of(
-        lambda: run_scenario(_with_engine(spec, "python")), repeats=4)
-
-    numpy_result = benchmark.pedantic(
-        lambda: run_scenario(_with_engine(spec, "numpy")),
-        rounds=4, iterations=1)
-    numpy_elapsed = benchmark.stats.stats.min
+                                       update_interval_s=0.04)), "python")
+    per_tick_elapsed, per_tick_result = _best_of(
+        lambda: run_per_tick(spec), repeats=4)
+    python_result = benchmark.pedantic(
+        lambda: run_scenario(spec), rounds=4, iterations=1)
+    python_elapsed = benchmark.stats.stats.min
+    numpy_elapsed, numpy_result = _best_of(
+        lambda: run_scenario(_with_engine(spec, "numpy")), repeats=1)
     python_eps = python_result.events_processed / python_elapsed
     numpy_eps = numpy_result.events_processed / numpy_elapsed
-    speedup = python_elapsed / numpy_elapsed
+    speedup = per_tick_elapsed / python_elapsed
     attach_rows(
-        benchmark, [numpy_result.summary()],
-        events=numpy_result.events_processed,
-        events_per_sec_best=numpy_eps,
+        benchmark, [python_result.summary()],
+        events=python_result.events_processed,
+        events_per_sec_best=python_eps,
         events_per_sec_numpy=numpy_eps,
-        python_events_per_sec=python_eps,
-        numpy_speedup=speedup)
-    # Static channel: the backend must not change what was simulated.
+        per_tick_events_per_sec=(per_tick_result.events_processed
+                                 / per_tick_elapsed),
+        numpy_speedup=python_elapsed / numpy_elapsed,
+        collapse_speedup=speedup)
+    # The collapse must not change what was simulated ...
+    assert python_result.events_processed == per_tick_result.events_processed
+    assert python_result.summary() == per_tick_result.summary()
+    # ... and neither may the backend (static channel).
     assert numpy_result.events_processed == python_result.events_processed
     assert numpy_result.total_goodput_mbps() == \
         python_result.total_goodput_mbps()

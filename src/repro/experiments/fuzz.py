@@ -15,7 +15,13 @@ and checks them against pluggable invariant suites:
   delivered packet has a finite non-negative one-way delay, and marked
   fractions stay inside ``[0, 1]``.
 * **determinism** — running the same spec twice reproduces the result
-  exactly, on every execution path.
+  exactly, on every execution path.  The second single-loop run is the
+  per-tick reference (:func:`run_per_tick`), so the same comparison also
+  checks that slot clocks collapsing quiet ticks change nothing.  In a
+  multi-cell single loop every cell ticks on the same slot grid, so
+  another cell's tick is always the heap head and no run collapses; a
+  shard holding one cell does collapse, so the sharding suite below is
+  where a collapse fault in a drawn multi-cell spec shows.
 * **sharding** — on static channels the sharded run's per-flow metrics
   and handover records are bit-identical to the single loop; on fading
   channels (where per-shard channel streams legitimately differ) the
@@ -23,8 +29,8 @@ and checks them against pluggable invariant suites:
   fallback or any exception (``ConservativeSyncError`` included) is a
   violation.
 * **backend** — the ``numpy`` backend is bit-identical to ``python`` on
-  static channels and individually deterministic on fading ones (the
-  contract of :mod:`repro.sim.backends`).
+  static channels and individually deterministic (and collapse-exact) on
+  fading ones (the contract of :mod:`repro.sim.backends`).
 * **document** — every run's :func:`~repro.experiments.results.
   result_document` serializes byte-identically across dumps, passes
   :func:`~repro.experiments.results.check_document`, and determinism
@@ -53,6 +59,7 @@ from repro._numpy import numpy_available
 from repro.api import ScenarioResult, run
 from repro.experiments.results import (check_document, dump_document,
                                        result_document)
+from repro.experiments.scenario import build_scenario
 from repro.experiments.sharded import run_scenario_sharded, sharding_blockers
 from repro.experiments.spec import (CellSpec, EngineSpec, HandoverSpec,
                                     MobilitySpec, PopulationSpec,
@@ -62,7 +69,7 @@ from repro.units import ms
 from repro.workloads.flows import FlowSpec
 
 __all__ = ["INVARIANT_SUITES", "SpecRuns", "check_spec", "flows_identical",
-           "random_spec", "run_campaign", "static_channel"]
+           "random_spec", "run_campaign", "run_per_tick", "static_channel"]
 
 #: Congestion controllers the fuzzer mixes (all deterministic).
 _CC_NAMES = ("prague", "cubic", "bbr2")
@@ -233,6 +240,22 @@ def _conservation_violations(result: ScenarioResult) -> list[str]:
     return violations
 
 
+def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
+    """Run ``spec`` on the single loop with every tick its own event.
+
+    The reference for the slot clocks' quiet-tick collapse: a
+    ``max_events`` budget (never reached here) forbids every callback and
+    wheel timer from batching ticks (see
+    :meth:`repro.sim.engine.Simulator.run`), so the loop walks each MAC
+    slot one firing at a time.  The result, ``events_processed``
+    included, must equal a default run's bit for bit.
+    """
+    built = build_scenario(spec)
+    events = built.sim.run(until=spec.duration_s, max_events=10 ** 12)
+    built.stop_collectors()
+    return built.collect(events)
+
+
 # --------------------------------------------------------------------------- #
 # Memoized runs of one spec across execution paths
 # --------------------------------------------------------------------------- #
@@ -259,7 +282,12 @@ class SpecRuns:
 
     def single(self, backend: Optional[str] = None,
                repeat: int = 0) -> ScenarioResult:
-        """The single-loop result under ``backend`` (None = the spec's)."""
+        """The single-loop result under ``backend`` (None = the spec's).
+
+        ``repeat=1`` is the per-tick reference (:func:`run_per_tick`):
+        comparing it with ``repeat=0`` checks determinism and the slot
+        clocks' quiet-tick collapse at once, with no extra run.
+        """
         backend = backend or self.backend_of()
         key = (backend, repeat)
         if key not in self._single:
@@ -269,7 +297,8 @@ class SpecRuns:
                                   channel_block=self.spec.engine.channel_block))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                self._single[key] = run(spec)
+                self._single[key] = (run_per_tick(spec) if repeat == 1
+                                     else run(spec))
         return self._single[key]
 
     def sharded(self, shards: int, repeat: int = 0) -> ScenarioResult:
@@ -307,7 +336,9 @@ def _suite_conservation(runs: SpecRuns) -> list[str]:
 
 def _suite_determinism(runs: SpecRuns) -> list[str]:
     if not flows_identical(runs.single(), runs.single(repeat=1)):
-        return ["single loop is not deterministic across repeats"]
+        return ["single loop differs from its per-tick reference run: "
+                "the run is not deterministic, or the slot clock's "
+                "quiet-tick collapse is not exact"]
     return []
 
 
@@ -358,8 +389,9 @@ def _suite_backend(runs: SpecRuns) -> list[str]:
     for backend in backends:
         if not flows_identical(runs.single(backend=backend),
                                runs.single(backend=backend, repeat=1)):
-            violations.append(f"{backend} backend is not deterministic "
-                              "across repeats")
+            violations.append(f"{backend} backend differs from its "
+                              "per-tick reference run: not deterministic, "
+                              "or the quiet-tick collapse is not exact")
     if runs.static:
         reference = backends[0]
         for backend in backends[1:]:
@@ -391,8 +423,10 @@ def _suite_document(runs: SpecRuns) -> list[str]:
         a = texts.get(base.format(backend))
         b = texts.get(repeat.format(backend))
         if a is not None and b is not None and a != b:
-            violations.append("repeat runs serialize to different "
-                              "documents (byte identity broken)")
+            violations.append("the run and its per-tick reference "
+                              "serialize to different documents (byte "
+                              "identity broken: nondeterminism or an "
+                              "inexact quiet-tick collapse)")
     return violations
 
 

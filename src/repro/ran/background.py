@@ -110,6 +110,15 @@ class BackgroundPopulation:
             # Bulk senders start with a full window queued in the RAN.
             self.backlog[self.active] = self.cwnd[self.active]
 
+        # Scratch arrays reused by every kernel step (no per-step
+        # temporaries on the hot path).
+        self._room = np.empty(self.n)
+        self._scratch = np.empty(self.n)
+        self._served = np.empty(self.n)
+        self._demand = np.empty(self.n, dtype=bool)
+        self._mask = np.empty(self.n, dtype=bool)
+        self._relieved = np.empty(self.n, dtype=bool)
+
         # Batched-step bookkeeping.
         slot = cell.slot_duration
         self._slots_per_step = max(1, round(spec.update_interval_s / slot))
@@ -166,39 +175,56 @@ class BackgroundPopulation:
 
         # New arrivals into the RAN backlogs.  Bulk senders keep a full
         # window outstanding; rate senders offer rate*dt, still window-capped.
-        window_room = np.maximum(cwnd - backlog, 0.0)
-        if self.offered_rate is None:
-            arrivals = np.where(active, window_room, 0.0)
-        else:
-            arrivals = np.where(
-                active, np.minimum(self.offered_rate * dt, window_room), 0.0)
+        # Every masked quantity below is finite and >= 0, so multiplying by
+        # a bool mask gives exactly ``np.where(mask, x, 0.0)``.
+        arrivals = self._room
+        scratch = self._scratch
+        # ``ndarray.sum`` without its Python wrapper: the same reduction.
+        total = np.add.reduce
+        np.subtract(cwnd, backlog, out=arrivals)
+        np.maximum(arrivals, 0.0, out=arrivals)
+        if self.offered_rate is not None:
+            np.multiply(self.offered_rate, dt, out=scratch)
+            np.minimum(scratch, arrivals, out=arrivals)
+        np.multiply(arrivals, active, out=arrivals)
         backlog += arrivals
-        arrival_bytes = float(arrivals.sum())
+        arrival_bytes = float(total(arrivals))
         self.arrival_bytes_total += arrival_bytes
 
         # Serve the PRB budget the MAC granted over this interval: equal
         # PRB shares across demanding UEs (round-robin in expectation), each
         # converted through its own SNR-derived bytes-per-PRB; one
         # redistribution pass hands leftovers of drained UEs to the rest.
-        demand = active & (backlog > 0)
+        demand = self._demand
+        np.greater(backlog, 0, out=demand)
+        np.logical_and(active, demand, out=demand)
         demanding = int(np.count_nonzero(demand))
         step_served = 0.0
         if demanding and self._pending_prb_slots > 0:
-            capacity = np.where(
-                demand,
-                (self._pending_prb_slots / demanding) * self.bytes_per_prb,
-                0.0)
-            served = np.minimum(backlog, capacity)
-            leftover = float((capacity - served).sum())
-            still = demand & (backlog > served)
+            capacity = self._room
+            np.multiply(self.bytes_per_prb,
+                        self._pending_prb_slots / demanding, out=capacity)
+            np.multiply(capacity, demand, out=capacity)
+            served = self._served
+            np.minimum(backlog, capacity, out=served)
+            np.subtract(capacity, served, out=scratch)
+            leftover = float(total(scratch))
+            still = self._mask
+            np.greater(backlog, served, out=still)
+            np.logical_and(demand, still, out=still)
             still_count = int(np.count_nonzero(still))
             if leftover > 0 and still_count:
-                extra = np.where(still, leftover / still_count, 0.0)
-                served += np.minimum(backlog - served, extra)
+                np.multiply(still, leftover / still_count, out=scratch)
+                np.subtract(backlog, served, out=capacity)
+                np.minimum(capacity, scratch, out=capacity)
+                served += capacity
             backlog -= served
-            step_served = float(served.sum())
+            step_served = float(total(served))
             self.served_bytes_total += step_served
-            congested = demand & (backlog > 0.5 * cwnd)
+            congested = self._mask
+            np.multiply(cwnd, 0.5, out=scratch)
+            np.greater(backlog, scratch, out=congested)
+            np.logical_and(demand, congested, out=congested)
         else:
             congested = demand
         self._pending_prb_slots = 0.0
@@ -206,12 +232,16 @@ class BackgroundPopulation:
         # AIMD window update: senders that kept more than half a window
         # queued back off (their class beta); the rest grow additively.
         # Masked in-place ufuncs compute the same elementwise values as
-        # boolean fancy indexing without the gather/scatter copies.
-        relieved = active & ~congested
+        # boolean fancy indexing without the gather/scatter copies, and
+        # maximum-then-minimum is ``np.clip`` without its Python wrapper.
+        relieved = self._relieved
+        np.logical_not(congested, out=relieved)
+        np.logical_and(active, relieved, out=relieved)
         np.multiply(cwnd, self.beta, out=cwnd, where=congested)
         np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
                out=cwnd, where=relieved)
-        np.clip(cwnd, BACKGROUND_MSS, BACKGROUND_CWND_CAP, out=cwnd)
+        np.maximum(cwnd, BACKGROUND_MSS, out=cwnd)
+        np.minimum(cwnd, BACKGROUND_CWND_CAP, out=cwnd)
 
         active_count = int(np.count_nonzero(active))
         self.active_ue_seconds += float(active_count) * dt
@@ -220,12 +250,13 @@ class BackgroundPopulation:
             # Bulk UEs refill next step; an active bulk sender always demands.
             self.demand_count = active_count
         else:
-            self.demand_count = int(
-                np.count_nonzero(active & (backlog > 0)))
+            np.greater(backlog, 0, out=demand)
+            np.logical_and(active, demand, out=demand)
+            self.demand_count = int(np.count_nonzero(demand))
         if self._marker_hook is not None:
             self._marker_hook(arrival_bytes=arrival_bytes,
                               served_bytes=step_served,
-                              backlog_bytes=float(backlog.sum()),
+                              backlog_bytes=float(total(backlog)),
                               now=now)
 
     # ------------------------------------------------------------------ #

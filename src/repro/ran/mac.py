@@ -28,7 +28,6 @@ from repro.ran.identifiers import UeId
 from repro.registry import SCHEDULERS
 from repro.sim.backends import EngineBackend
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 
 #: Below these many backlogged UEs the scalar allocation loops beat the
 #: numpy ones (array construction and ``tolist`` overhead are fixed costs
@@ -36,6 +35,8 @@ from repro.sim.process import PeriodicProcess
 #: container; tests force the vector paths by patching these down.
 _VECTOR_MIN_UES_RR = 160
 _VECTOR_MIN_UES_PF = 48
+
+_INF = float("inf")
 
 
 class SchedulerPolicy(enum.Enum):
@@ -86,7 +87,9 @@ class MacScheduler:
             off-heap), serves channels through a per-cell
             :class:`~repro.channel.blockcache.ChannelBlockCache` and takes
             numpy allocation paths for large UE counts.  None (or the
-            ``python`` backend) keeps the classic heap-driven loop.
+            ``python`` backend) keeps the classic heap-driven slot event.
+            Both clocks collapse runs of slots that grant the foreground
+            nothing into one firing (:meth:`_quiet_bulk`).
     """
 
     def __init__(self, sim: Simulator, cell: CellConfig,
@@ -109,27 +112,28 @@ class MacScheduler:
         self.slots = 0
         self.busy_slots = 0
         # Per-slot constants hoisted off the hot loop.
+        self._slot_duration = cell.slot_duration
         self._decay = cell.slot_duration / pf_time_constant
         self._inv_slot_duration = 1.0 / cell.slot_duration
         self._round_robin = policy == SchedulerPolicy.ROUND_ROBIN
         self._vectorized = backend is not None and backend.vectorized
         start_at = start if start is not None else sim.now
+        self._stopped = False
+        # Both clocks consume one tie-break sequence number here, at
+        # construction, so same-instant ordering against other events is
+        # identical whichever clock drives the slots.
         if self._vectorized:
-            # Both clocks consume one tie-break sequence number here, at
-            # construction, so same-instant ordering against other events
-            # is identical whichever clock drives the slots.
             from repro.channel.blockcache import ChannelBlockCache
             self._channel_cache = ChannelBlockCache(
                 cell.slot_duration, block=backend.channel_block)
-            self._process = None
+            self._pending = None
             self._timer = sim.add_slot_timer(
                 cell.slot_duration, self._run_slot_batch, start_at=start_at)
         else:
             self._channel_cache = None
             self._timer = None
-            self._process = PeriodicProcess(
-                sim, cell.slot_duration, self._on_slot,
-                start_at=start_at, name="mac-slot")
+            self._pending = sim.schedule_at(max(start_at, sim.now),
+                                            self._on_tick)
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -180,24 +184,43 @@ class MacScheduler:
 
     def stop(self) -> None:
         """Stop the slot clock (end of scenario)."""
-        if self._process is not None:
-            self._process.stop()
+        self._stopped = True
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
         if self._timer is not None:
             self._timer.stop()
 
     # ------------------------------------------------------------------ #
     # Slot processing
     # ------------------------------------------------------------------ #
+    def _on_tick(self) -> None:
+        """Heap-clock slot tick: one event, then re-arm on the heap.
+
+        With a background population attached, a predicted run of ticks
+        that grant the foreground nothing (see :meth:`_quiet_run_length`)
+        is done by this one event, up to the heap head and the run's
+        ``until`` (``Simulator._batch_until``).  The re-arm comes after the
+        slot body, consuming one tie-break sequence number the way a
+        ``PeriodicProcess`` tick does, so events a slot schedules at
+        precisely the next tick time still fire before that tick.
+        """
+        if self._background is None:
+            self._on_slot()
+        else:
+            self._run_ticks(self._sim._batch_until, _INF)
+        if not self._stopped:
+            self._pending = self._sim.schedule(self._slot_duration,
+                                               self._on_tick)
+
     def _run_slot_batch(self, barrier_time: float, barrier_seq) -> None:
         """Timer-wheel callback: run consecutive slot ticks up to a barrier.
 
-        Mirrors :class:`~repro.sim.process.PeriodicProcess` exactly -- the
-        slot body runs first, then the re-arm consumes one tie-break
-        sequence number -- so events a slot schedules at precisely the next
-        tick time still fire before that tick.  The batch ends when the
-        next tick's ``(time, seq)`` key would not be the globally next
-        event: another wheel timer (the ``barrier_*`` arguments), the heap
-        head (a cancelled head conservatively ends the batch too; the
+        Mirrors :meth:`_on_tick` exactly -- the slot body runs first, then
+        the re-arm consumes one tie-break sequence number.  The batch ends
+        when the next tick's ``(time, seq)`` key would not be the globally
+        next event: another wheel timer (the ``barrier_*`` arguments), the
+        heap head (a cancelled head conservatively ends the batch too; the
         engine loop discards it and re-enters), the run window, or a
         ``stop()``.
         """
@@ -206,21 +229,8 @@ class MacScheduler:
         heap = queue.heap
         timer = self._timer
         slot = self.cell.slot_duration
-        # A predicted run of zero-service ticks (see
-        # :meth:`_quiet_run_length`) is executed wholesale by
-        # :meth:`_quiet_bulk`; everything else goes through the exact
-        # per-slot path.  The prediction is recomputed at batch start,
-        # after every serving slot and after each population kernel-step
-        # boundary; heap events fire only between batches, so any state
-        # they change (RLC enqueues, attach/detach) naturally invalidates
-        # it.
         while True:
-            quiet = self._quiet_run_length()
-            if quiet > 0:
-                if self._quiet_bulk(quiet, barrier_time, barrier_seq):
-                    return
-                continue
-            self._on_slot()
+            self._run_ticks(barrier_time, barrier_seq)
             # Each tick counts as one processed event, keeping event totals
             # identical to the heap-driven clock.
             sim._processed += 1
@@ -240,17 +250,35 @@ class MacScheduler:
                     return
             sim.now = nxt
 
+    def _run_ticks(self, barrier_time: float, barrier_seq) -> None:
+        """Run the tick due at ``sim.now`` and the quiet ticks that follow.
+
+        Shared by both slot clocks.  A predicted run of zero-service ticks
+        goes through :meth:`_quiet_bulk`; everything else is one exact
+        :meth:`_on_slot`.  The prediction is recomputed at every tick the
+        clock fires: heap events fire only between firings, so any state
+        they change (RLC enqueues, attach/detach) naturally invalidates it.
+        The caller then finishes the last tick run here (event count and
+        re-arm) as it finishes any tick.
+        """
+        quiet = self._quiet_run_length()
+        if quiet > 0:
+            self._quiet_bulk(quiet, barrier_time, barrier_seq)
+        else:
+            self._on_slot()
+
     def _quiet_run_length(self) -> int:
         """Upcoming ticks guaranteed to grant zero foreground service.
 
-        Inside a slot batch no heap events fire, so foreground backlogs can
-        only change through the scheduler's own pulls -- a slot that grants
-        nothing leaves the next slot's inputs untouched.  Under round robin
-        with an oversubscribed background population (``base == 0``), which
-        UEs receive the remainder PRBs is pure modular arithmetic over the
-        rotation offset, so the run of grantless slots ahead is computable
-        without executing them.  :meth:`_quiet_bulk` then replays only the
-        bookkeeping those slots would have done, in one pass.
+        Inside one firing of either slot clock no heap events fire, so
+        foreground backlogs can only change through the scheduler's own
+        pulls -- a slot that grants nothing leaves the next slot's inputs
+        untouched.  Under round robin with an oversubscribed background
+        population (``base == 0``), which UEs receive the remainder PRBs is
+        pure modular arithmetic over the rotation offset, so the run of
+        grantless slots ahead is computable without executing them.
+        :meth:`_quiet_bulk` then replays only the bookkeeping those slots
+        would have done, in one pass.
 
         The run is capped at the population's next kernel-step boundary
         (``demand_count`` may change there) and is zero whenever any
@@ -291,8 +319,8 @@ class MacScheduler:
         return quiet
 
     def _quiet_bulk(self, quiet: int, barrier_time: float,
-                    barrier_seq) -> bool:
-        """Run up to ``quiet`` predicted zero-service ticks in one pass.
+                    barrier_seq) -> None:
+        """Do up to ``quiet`` predicted zero-service ticks in one pass.
 
         Per-tick this replicates exactly the bookkeeping :meth:`_on_slot`
         performs on a slot whose grants are all zero -- slot/busy counters,
@@ -313,14 +341,14 @@ class MacScheduler:
           break early (``keep * average + 0.0 == keep * average``
           bit-exactly, matching both the served- and idle-loop forms).
 
-        Returns ``True`` when the slot batch is over (the tick after the
-        last one processed crosses the barrier, the heap head, or the
-        timer was stopped).
+        The clock and counters end as after ``count - 1`` ticks and their
+        re-arms plus the body of the last tick: ``sim.now`` is the last
+        tick's time, and the caller does that tick's event count and
+        re-arm, exactly as for a tick run by :meth:`_on_slot`.
         """
         sim = self._sim
         queue = sim.events
         heap = queue.heap
-        timer = self._timer
         slot = self.cell.slot_duration
         if heap:
             head = heap[0]
@@ -332,7 +360,6 @@ class MacScheduler:
         seq0 = queue._next_seq
         t = sim.now
         count = 1  # the tick at sim.now is due unconditionally
-        over = False
         while count < quiet:
             # Re-arm check of tick ``count``: would tick ``count + 1`` at
             # ``nxt`` with sequence ``seq`` still be the globally next
@@ -341,14 +368,15 @@ class MacScheduler:
             seq = seq0 + count - 1
             if nxt > barrier_time or (nxt == barrier_time
                                       and seq > barrier_seq):
-                over = True
                 break
             if head_time is not None and (
                     head_time < nxt or (head_time == nxt and head_seq < seq)):
-                over = True
                 break
             t = nxt
             count += 1
+        sim.now = t
+        sim._processed += count - 1
+        queue._next_seq = seq0 + count - 1
         background = self._background
         bg_demand = background.demand_count
         self.slots += count
@@ -378,23 +406,6 @@ class MacScheduler:
                     average = 1.0  # keep < 1: stays clamped from here on
                     break
             state.average_throughput = average
-        sim.now = t
-        sim._processed += count
-        queue._next_seq = seq0 + count
-        seq = seq0 + count - 1
-        nxt = t + slot
-        timer.time = nxt
-        timer.seq = seq
-        if over or timer.stopped or not sim._running:
-            return True
-        if nxt > barrier_time or (nxt == barrier_time and seq > barrier_seq):
-            return True
-        if heap:
-            head = heap[0]
-            if head[0] < nxt or (head[0] == nxt and head[1] < seq):
-                return True
-        sim.now = nxt
-        return False
 
     def _on_slot(self) -> None:
         """One TTI: sample channels, allocate PRBs, drain RLC queues.

@@ -5,15 +5,22 @@ pure-python event core, the MAC slot loop, the scalar channel processes.
 Backends do not change *what* is simulated; they change *how* the dominant
 per-slot work is executed:
 
-* ``python`` (the default): every slot tick is a heap event, every channel
-  read a scalar process step.  This is the reference implementation every
-  other backend is measured against.
+* ``python`` (the default): the MAC slot clock is a heap event, every
+  channel read a scalar process step.  This is the reference implementation
+  every other backend is measured against.
 * ``numpy``: the three profiled per-slot hot loops run as batched kernels --
   the MAC slot clock moves onto the engine's off-heap timer wheel
   (:class:`repro.sim.engine.SlotTimer`) and batches consecutive slots, every
   UE channel is served from a per-cell block cache
   (:mod:`repro.channel.blockcache`) of pre-drawn variates, and the air
   interface's HARQ/jitter uniforms are pre-drawn in blocks.
+
+Both slot clocks share the quiet-slot collapse: with a background
+population attached, a run of slots that provably grants the foreground
+nothing costs one firing (``MacScheduler._quiet_bulk``), on the heap clock
+up to the next heap event and the run's ``until``.  It is not a backend
+feature: on dense-cell it is what made the numpy backend faster, and now
+it serves the default backend the same way.
 
 Equivalence contract (asserted by ``tests/test_backends.py``): on static
 channels the ``numpy`` backend produces **bit-identical per-flow metrics**

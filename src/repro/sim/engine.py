@@ -15,6 +15,9 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams
 
 
+_INF = float("inf")
+
+
 class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. scheduling in the past)."""
 
@@ -30,9 +33,9 @@ class SlotTimer:
 
     Determinism contract: a wheel timer consumes sequence numbers from the
     same :class:`~repro.sim.events.EventQueue` counter a heap push would, at
-    the same logical points -- one at creation (where ``PeriodicProcess``
-    pushes its first tick) and one after each firing (where the periodic
-    callback re-schedules itself).  Same-instant ordering against heap
+    the same logical points -- one at creation (where the heap slot clock
+    pushes its first tick) and one after each firing (where it
+    re-schedules itself).  Same-instant ordering against heap
     events is therefore bit-identical to the heap-based implementation.
 
     The callback is invoked as ``callback(barrier_time, barrier_seq)`` with
@@ -91,6 +94,13 @@ class Simulator:
         #: Bumped when a timer is added mid-run; tells the merged run loop
         #: its cached earliest-timer key may be stale.
         self._wheel_version = 0
+        #: The latest time a heap callback may advance the clock to by
+        #: doing the work of several of its own ticks in one firing (see
+        #: ``MacScheduler._quiet_bulk``): the classic :meth:`run` loop's
+        #: ``until`` (inclusive; +inf without one).  -inf -- no batching --
+        #: outside :meth:`run`, under a ``max_events`` budget and on the
+        #: wheel loop, whose timers get their barrier as arguments.
+        self._batch_until = -_INF
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -148,7 +158,7 @@ class Simulator:
             raise SimulationError("slot timer period must be positive")
         first = self.now if start_at is None else max(start_at, self.now)
         # Consume the tie-break sequence number exactly where a heap-based
-        # PeriodicProcess would push its first tick.
+        # slot clock would push its first tick.
         queue = self.events
         seq = queue._next_seq
         queue._next_seq = seq + 1
@@ -185,12 +195,24 @@ class Simulator:
 
         When wheel timers are installed (the ``numpy`` backend's slot
         clocks), the loop runs in a variant that merges the wheel with the
-        heap; the classic loop below stays byte-for-byte untouched for the
-        default backend.
+        heap.
+
+        A callback may batch: do the work of its own next ticks in one
+        firing and advance ``now`` to the last of them, as long as it stops
+        before the heap head's ``(time, seq)`` key and at ``_batch_until``.
+        The run publishes ``until`` there; a ``max_events`` budget counts
+        single events, so it forbids batching.  ``until`` must not lie
+        before ``now`` (the clock never moves backwards).
         """
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"cannot run until {until} s, current time is "
+                f"{self.now:.6f} s")
         if self._wheel:
             return self._run_with_wheel(until, max_events)
         self._running = True
+        if max_events is None:
+            self._batch_until = _INF if until is None else until
         processed_before = self._processed
         # Hot-path local bindings (attribute loads hoisted out of the loop).
         heap = self.events.heap
@@ -221,6 +243,7 @@ class Simulator:
                 self._processed += 1
         finally:
             self._running = False
+            self._batch_until = -_INF
         return self._processed - processed_before
 
     def _run_with_wheel(self, until: Optional[float],
@@ -262,7 +285,7 @@ class Simulator:
                                 and candidate.seq < timer.seq)):
                         timer = candidate
                 if timer is None:
-                    timer_time = timer_seq = float("inf")
+                    timer_time = timer_seq = _INF
                 else:
                     timer_time = timer.time
                     timer_seq = timer.seq
@@ -315,8 +338,8 @@ class Simulator:
                 # Barrier for batching: the next other live timer, capped by
                 # ``until`` (ticks exactly at ``until`` still fire, hence the
                 # +inf sequence).  A max_events budget forbids batching.
-                barrier_time = until if until is not None else float("inf")
-                barrier_seq: float = float("inf")
+                barrier_time = until if until is not None else _INF
+                barrier_seq: float = _INF
                 for other in wheel:
                     if other is timer or other.stopped:
                         continue
@@ -346,9 +369,8 @@ class Simulator:
 
         Lets windowed callers (``run(until=t)`` invoked repeatedly) observe
         how far ahead this loop could safely run and whether it has work
-        left at all — the hook an adaptive shard synchronizer needs (see
-        the ROADMAP's open item; today the sharded runtime's windows are
-        spec-derived and this is exercised by the engine tests only).
+        left at all: the sharded runtime reads it for every shard at each
+        window barrier (``ShardHost.peek``) to widen adaptive windows.
 
         Live wheel timers count as work: a shard whose only future activity
         is its slot clock must not look idle to the barrier synchronizer.

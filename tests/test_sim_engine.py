@@ -87,6 +87,25 @@ class TestSimulator:
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
+    @pytest.mark.parametrize("wheel", [False, True])
+    def test_run_until_never_moves_the_clock_backwards(self, wheel):
+        sim = Simulator()
+        sim.schedule_at(5.0, lambda: None)  # keeps the queue non-empty
+        if wheel:
+            sim.add_slot_timer(10.0, lambda barrier_time, barrier_seq: None,
+                               start_at=5.0)
+        sim.run(until=1.0)
+        assert sim.now == 1.0
+        for until in (0.5, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.run(until=until)
+            assert sim.now == 1.0
+        fired = []
+        sim.schedule(0.1, lambda: fired.append(sim.now))
+        sim.run(until=1.0)  # until == now is a no-op window
+        sim.run(until=2.0)
+        assert fired == [1.1]
+
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
         fired = []
